@@ -8,9 +8,9 @@ use kvmatch_client::Client;
 use kvmatch_core::{Catalog, MatchStats, MemoryCatalogBackend, SeriesId};
 
 use crate::common::{
-    batch_build_disagreements, closed_loop, cpu_seconds, dtw_band, index_config, lat_ms,
-    noisy_query, q_ms, release_freed_memory, rng, series, timed_setups, write_spans, Mode, Oracle,
-    Req, RssSampler, Spans, Stack,
+    closed_loop, cpu_seconds, dtw_band, index_config, lat_ms, noisy_query, q_ms,
+    release_freed_memory, rng, series, timed_setups, write_spans, Mode, Oracle, Req, RssSampler,
+    Spans, Stack,
 };
 use crate::layers::{self, LayerInputs, LsmLayer};
 use crate::{Outcome, Scale};
@@ -43,7 +43,7 @@ fn config(scale: Scale) -> Config {
             query_lens: [128, 256, 512],
             pool: 288,
             replay: 48,
-            setups: 15,
+            setups: 60,
         },
         Scale::Smoke => Config {
             lens: [6_000, 8_000, 10_000, 12_000],
@@ -71,9 +71,7 @@ pub fn run(seed: u64, seconds: f64, trace: bool, scale: Scale) -> Outcome {
         cfg.lens.iter().enumerate().map(|(s, &n)| series(seed, 100 + s as u64, n)).collect();
 
     // Inputs and their expected answers: outside every timing.
-    let named: Vec<(SeriesId, &[f64])> =
-        ids.iter().copied().zip(data.iter().map(Vec::as_slice)).collect();
-    let oracle = Oracle::new(named.iter().copied());
+    let oracle = Oracle::new(ids.iter().copied().zip(data.iter().map(Vec::as_slice)));
     let mut r = rng(seed, 1);
     let pool: Vec<Req> = (0..cfg.pool)
         .map(|i| {
@@ -98,11 +96,6 @@ pub fn run(seed: u64, seconds: f64, trace: bool, scale: Scale) -> Outcome {
         })
         .collect();
     drop(oracle);
-    // Costly (a second index and a second pass over the pool), so only
-    // traced runs report it.
-    let disagreements = trace.then(|| batch_build_disagreements(&named, &pool));
-    drop(named);
-    release_freed_memory();
 
     let (stack, setup_s) = timed_setups(
         cfg.setups,
@@ -110,6 +103,7 @@ pub fn run(seed: u64, seconds: f64, trace: bool, scale: Scale) -> Outcome {
         |stack| drop(stack.stop()),
     );
     drop(data);
+    release_freed_memory();
     let addr = stack.addr();
     let warm = Duration::from_secs_f64((seconds * 0.1).min(1.0));
     let mut out = Outcome::default();
@@ -130,9 +124,6 @@ pub fn run(seed: u64, seconds: f64, trace: bool, scale: Scale) -> Outcome {
     out.report.put("cpu_ms_per_op", cpu_ms_per_query, "ms");
     out.report.put("query_ed_samples", ed.len() as f64, "count");
     out.report.put("query_dtw_samples", dtw.len() as f64, "count");
-    if let Some(n) = disagreements {
-        out.report.put("reference.batch_build_disagreements", n as f64, "count");
-    }
     out.report.put("loadgen.lag_p99_ms", q_ms(&phase.tally.gap_us, 0.99), "ms");
 
     if trace {

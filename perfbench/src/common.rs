@@ -11,13 +11,11 @@ use kvmatch_client::{ClientError, QueryReply};
 use kvmatch_core::catalog::CatalogBackend;
 use kvmatch_core::catalog::CatalogSnapshot;
 use kvmatch_core::{
-    Catalog, IndexBuildConfig, KvIndex, KvMatcher, MatchResult, MatchStats, MemoryCatalogBackend,
-    QuerySpec, SeriesId,
+    Catalog, IndexBuildConfig, KvMatcher, MatchResult, MatchStats, MemoryCatalogBackend, QuerySpec,
+    SeriesId,
 };
 use kvmatch_serve::{QueryService, ServiceBuilder};
 use kvmatch_server::{Server, ServerOptions};
-use kvmatch_storage::memory::MemoryKvStoreBuilder;
-use kvmatch_storage::{MemoryKvStore, MemorySeriesStore};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -103,8 +101,9 @@ pub struct Req {
 
 /// A private, sequential matcher over a copy of the served data: the
 /// reference every socket answer is compared against. Its index is built
-/// through the same append path the served catalog uses; see
-/// [`batch_build_disagreements`] for why that matters.
+/// through the same append path the served catalog uses: a batch-built
+/// index (`KvIndex::build_into`) lays out different candidate intervals,
+/// so its cNSM distances differ from the served ones in the last bits.
 pub struct Oracle {
     snapshot: Arc<CatalogSnapshot<MemoryCatalogBackend>>,
 }
@@ -134,37 +133,6 @@ impl Oracle {
         let expected = self.answer(&spec);
         Req { spec, dtw, expected }
     }
-}
-
-/// Pool requests whose answer from a sequential matcher over a
-/// batch-built index (`KvIndex::build_into`) differs bit-wise from the
-/// expected answer. The batch builder and the catalog's append path lay
-/// out different candidate intervals on the same data, and cNSM
-/// distances depend on where an interval's prefix sums start, so the two
-/// disagree in the last bits. Reported, not failed: the served path is
-/// checked against the index it actually serves.
-pub fn batch_build_disagreements(data: &[(SeriesId, &[f64])], pool: &[Req]) -> usize {
-    let built: Vec<_> = data
-        .iter()
-        .map(|&(id, xs)| {
-            let (index, _) = KvIndex::<MemoryKvStore>::build_into(
-                xs,
-                index_config(),
-                MemoryKvStoreBuilder::new(),
-            )
-            .expect("batch index builds");
-            (id, index, MemorySeriesStore::new(xs.to_vec()))
-        })
-        .collect();
-    pool.iter()
-        .filter(|req| {
-            let (_, index, store) =
-                built.iter().find(|(id, _, _)| *id == req.spec.series).expect("series known");
-            let got =
-                KvMatcher::new(index, store).and_then(|m| m.execute(&req.spec)).expect("runs").0;
-            !same(&got, &req.expected)
-        })
-        .count()
 }
 
 /// Bit-for-bit equality of two answers.
@@ -228,27 +196,33 @@ where
 }
 
 /// Times `setup` `reps` times, tearing down every stack but the last.
-/// Returns the last stack and the median set-up time. The first few
-/// set-ups of a process run slower while the allocator warms up; with
-/// enough repetitions the median is a warm set-up.
+/// Returns the last stack and the fastest set-up time. Each set-up starts
+/// with the freed heap handed back to the OS, as in a fresh process:
+/// otherwise whether a set-up reuses the previous one's pages or faults
+/// in new ones is up to the allocator's heuristics. Host noise only ever
+/// slows a set-up, and on a shared machine it does so for seconds at a
+/// time, so the fastest set-up is the steadiest reading of its cost: on
+/// a shared 2-vCPU VM the median of sixty moved by up to 1.4x from run
+/// to run.
 pub fn timed_setups<S>(
     reps: usize,
     mut setup: impl FnMut() -> S,
     mut teardown: impl FnMut(S),
 ) -> (S, f64) {
-    let mut times = Vec::with_capacity(reps);
+    let mut fastest = f64::INFINITY;
     let mut last = None;
     for i in 0..reps {
+        release_freed_memory();
         let t0 = Instant::now();
         let stack = setup();
-        times.push(t0.elapsed().as_secs_f64());
+        fastest = fastest.min(t0.elapsed().as_secs_f64());
         if i + 1 < reps {
             teardown(stack);
         } else {
             last = Some(stack);
         }
     }
-    (last.expect("at least one setup"), median(&mut times))
+    (last.expect("at least one setup"), fastest)
 }
 
 /// One timed operation: when it completed, how long it took from its
@@ -356,38 +330,31 @@ impl Tally {
 
 /// Samples per block of the block statistics: enough that a block's p99
 /// has ten samples beyond it.
-pub const BLOCK: usize = 1_000;
+const BLOCK: usize = 1_000;
 
-/// Splits `samples`, in completion order, into consecutive blocks of at
-/// least [`BLOCK`] (one block when there are fewer).
-pub fn blocks(samples: &[Sample]) -> Vec<Vec<Sample>> {
+/// Latency quantile `q` in ms: the median, over consecutive blocks of at
+/// least [`BLOCK`] samples in completion order (one block when there are
+/// fewer), of each block's quantile. A burst of noise moves the blocks it
+/// falls in, not the run's figure.
+pub fn lat_ms(samples: &[Sample], q: f64) -> f64 {
     let mut sorted = samples.to_vec();
     sorted.sort_by_key(|s| s.at);
     let n = (sorted.len() / BLOCK).max(1);
-    (0..n).map(|b| sorted[b * sorted.len() / n..(b + 1) * sorted.len() / n].to_vec()).collect()
-}
-
-/// Median over blocks of each block's `q` latency quantile, in ms: a
-/// burst of noise moves the blocks it falls in, not the run's figure.
-pub fn block_ms(blocks: &[Vec<Sample>], q: f64) -> f64 {
-    let mut per: Vec<f64> = blocks
-        .iter()
-        .map(|b| quantile(&mut b.iter().map(|s| s.us).collect::<Vec<_>>(), q))
+    let mut per: Vec<f64> = (0..n)
+        .map(|b| {
+            let block = &sorted[b * sorted.len() / n..(b + 1) * sorted.len() / n];
+            quantile(&mut block.iter().map(|s| s.us).collect::<Vec<_>>(), q)
+        })
         .collect();
     median(&mut per) / 1e3
 }
 
-/// [`block_ms`] over every block of `samples`.
-pub fn lat_ms(samples: &[Sample], q: f64) -> f64 {
-    block_ms(&blocks(samples), q)
-}
-
-/// Median, over `windows` equal windows of `[start, end)`, of the
-/// completions per second.
-pub fn window_rate(done: &[Instant], start: Instant, end: Instant, windows: usize) -> f64 {
+/// Completions per second in each of `windows` equal windows of
+/// `[start, end)`.
+pub fn window_rates(done: &[Instant], start: Instant, end: Instant, windows: usize) -> Vec<f64> {
     let len = (end - start).as_secs_f64() / windows as f64;
     if len <= 0.0 {
-        return 0.0;
+        return Vec::new();
     }
     let mut counts = vec![0.0; windows];
     for t in done {
@@ -396,8 +363,12 @@ pub fn window_rate(done: &[Instant], start: Instant, end: Instant, windows: usiz
             counts[w] += 1.0;
         }
     }
-    let mut rates: Vec<f64> = counts.iter().map(|c| c / len).collect();
-    median(&mut rates)
+    counts.iter().map(|c| c / len).collect()
+}
+
+/// Median of [`window_rates`].
+pub fn window_rate(done: &[Instant], start: Instant, end: Instant, windows: usize) -> f64 {
+    median(&mut window_rates(done, start, end, windows))
 }
 
 pub fn add_stats(into: &mut MatchStats, s: &MatchStats) {
@@ -714,9 +685,10 @@ pub fn q_ms(xs: &[f64], q: f64) -> f64 {
     quantile(&mut xs.to_vec(), q) / 1e3
 }
 
-/// Hands freed heap pages back to the OS, so the resident set sampled
-/// under load reflects the served state rather than the precomputation
-/// that ran before it.
+/// Hands freed heap pages back to the OS. Called before every set-up and
+/// once more before the resident set is sampled, so that the peak
+/// reflects the served state rather than the precomputation and the
+/// torn-down set-ups that ran before it.
 pub fn release_freed_memory() {
     #[cfg(all(target_os = "linux", target_env = "gnu"))]
     {

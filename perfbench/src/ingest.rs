@@ -21,6 +21,8 @@ use crate::{Outcome, Scale};
 
 const SERIES: usize = 4;
 const CHUNK: usize = 100;
+/// Appends per second the append connection paces itself to.
+const APPENDS_PER_S: f64 = 50.0;
 /// Verification budget of one pool query, in distance cells.
 const MAX_CELLS: f64 = 5e5;
 
@@ -28,8 +30,6 @@ struct Config {
     seed_len: usize,
     pool: usize,
     query_lens: [usize; 2],
-    /// Appends per second the append connection paces itself to.
-    appends_per_s: f64,
     replay: usize,
     catalog_replay: usize,
     reopen_queries: usize,
@@ -42,17 +42,15 @@ fn config(scale: Scale) -> Config {
             seed_len: 50_000,
             pool: 256,
             query_lens: [128, 256],
-            appends_per_s: 50.0,
             replay: 32,
             catalog_replay: 400,
             reopen_queries: 8,
-            setups: 15,
+            setups: 60,
         },
         Scale::Smoke => Config {
             seed_len: 5_000,
             pool: 16,
             query_lens: [100, 150],
-            appends_per_s: 50.0,
             replay: 8,
             catalog_replay: 20,
             reopen_queries: 4,
@@ -79,7 +77,7 @@ fn seeded_catalog(dir: &Path, seeds: &[&[f64]]) -> Catalog<LsmCatalogBackend> {
 pub fn run(seed: u64, seconds: f64, trace: bool, scale: Scale) -> Outcome {
     let cfg = config(scale);
     // Warm-up (at most 1 s) plus the measured time, with a little slack.
-    let max_appends = ((seconds + 1.0) * cfg.appends_per_s).ceil() as usize + 4 * SERIES;
+    let max_appends = ((seconds + 1.0) * APPENDS_PER_S).ceil() as usize + 4 * SERIES;
     let per_series = max_appends.div_ceil(SERIES) * CHUNK;
     // Each series is a seed prefix followed by the stream its appends
     // draw from, one continuous composite series.
@@ -112,7 +110,6 @@ pub fn run(seed: u64, seconds: f64, trace: bool, scale: Scale) -> Outcome {
         pool.push(Req { spec, dtw: false, expected });
     }
     drop((before, after));
-    release_freed_memory();
 
     let scratch = Scratch::new("ingest");
     let mut n = 0;
@@ -132,6 +129,7 @@ pub fn run(seed: u64, seconds: f64, trace: bool, scale: Scale) -> Outcome {
         },
     );
     let (stack, dir) = stack;
+    release_freed_memory();
     let addr = stack.addr();
     let mut out = Outcome::default();
     let rss = RssSampler::start();
@@ -151,7 +149,6 @@ pub fn run(seed: u64, seconds: f64, trace: bool, scale: Scale) -> Outcome {
         &mut acked,
         &mut appends,
         max_appends,
-        cfg.appends_per_s,
         warm,
         measure,
         seed,
@@ -197,7 +194,6 @@ pub fn run(seed: u64, seconds: f64, trace: bool, scale: Scale) -> Outcome {
             &mut acked,
             &mut appends,
             max_appends,
-            cfg.appends_per_s,
             Duration::ZERO,
             measure,
             seed ^ 1,
@@ -271,9 +267,10 @@ pub fn run(seed: u64, seconds: f64, trace: bool, scale: Scale) -> Outcome {
     out
 }
 
-/// Runs the append connection, paced to `appends_per_s`, and the query
-/// connection side by side. Returns the query phase and the append tally. `acked` and `appends`
-/// carry across calls so a second phase continues the stream.
+/// Runs the append connection, paced to [`APPENDS_PER_S`], and the query
+/// connection side by side. Returns the query phase and the append tally.
+/// `acked` and `appends` carry across calls so a second phase continues
+/// the stream.
 #[allow(clippy::too_many_arguments)]
 fn mixed(
     addr: std::net::SocketAddr,
@@ -283,7 +280,6 @@ fn mixed(
     acked: &mut [usize],
     appends: &mut usize,
     max_appends: usize,
-    appends_per_s: f64,
     warm: Duration,
     measure: Duration,
     seed: u64,
@@ -296,7 +292,7 @@ fn mixed(
             let mut spans = Spans::new(epoch);
             let start = Instant::now();
             let (warm_end, end) = (start + warm, start + warm + measure);
-            let interval = Duration::from_secs_f64(1.0 / appends_per_s);
+            let interval = Duration::from_secs_f64(1.0 / APPENDS_PER_S);
             let mut due = start;
             loop {
                 let now = Instant::now();

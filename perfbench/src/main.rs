@@ -8,8 +8,9 @@
 //! ```
 //!
 //! `--trace 0` prints the end-to-end metrics, `--trace 1` the per-layer
-//! budget (see README.md). The process exits non-zero when any answer
-//! was wrong or any request failed.
+//! budget (see README.md). The process exits 1 when any answer was wrong
+//! or any request failed, and 3 when the load generator fell behind its
+//! schedule, so the run's figures are invalid.
 
 mod analyst;
 mod common;
@@ -57,6 +58,9 @@ pub struct Outcome {
     /// Per-layer metrics (traced runs only).
     pub layers: Metrics,
     pub notes: Vec<String>,
+    /// Why the run's figures cannot be trusted (the load generator fell
+    /// behind); the process then exits non-zero.
+    pub invalid: Option<String>,
 }
 
 impl Outcome {
@@ -150,6 +154,10 @@ fn main() {
     );
     if !correct {
         std::process::exit(1);
+    }
+    if let Some(why) = outcome.invalid {
+        eprintln!("perfbench: run invalid: {why}");
+        std::process::exit(3);
     }
 }
 

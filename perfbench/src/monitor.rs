@@ -1,7 +1,8 @@
-//! `monitor_fanout`: many small series, short selective RSM-ED queries.
+//! `monitor_fanout`: many small series, short RSM-ED queries.
 //! Phase 1 is an open loop on one pipelined connection at a fixed rate
 //! below the knee, each request timed from its due time; phase 2 keeps a
-//! fixed window in flight to measure capacity.
+//! fixed window in flight to measure capacity. The two phases alternate
+//! in rounds.
 
 use std::collections::VecDeque;
 use std::sync::mpsc;
@@ -12,16 +13,25 @@ use kvmatch_core::{Catalog, MemoryCatalogBackend, SeriesId};
 use kvmatch_proto::Request;
 
 use crate::common::{
-    block_ms, blocks, cpu_seconds, index_config, lat_ms, noisy_query, q_ms, release_freed_memory,
-    rng, sample_indices, series, shuffle, timed_setups, window_rate, write_spans, Mode, Oracle,
-    Req, RssSampler, Sample, Span, Spans, Stack, Tally, BLOCK,
+    cpu_seconds, index_config, lat_ms, median, noisy_query, q_ms, release_freed_memory, rng,
+    sample_indices, series, shuffle, timed_setups, window_rates, write_spans, Mode, Oracle, Req,
+    RssSampler, Span, Spans, Stack, Tally,
 };
 use crate::layers::{self, LayerInputs, LsmLayer};
 use crate::{Outcome, Scale};
 
-/// A phase-1 block whose generator lateness p99 exceeds this is
-/// discarded: the generator, not the server, fell behind.
-const MAX_LAG_P99_MS: f64 = 2.0;
+/// Phase 1 and phase 2 alternate in this many rounds, so that a burst of
+/// host noise falls on a share of each phase rather than on one of them
+/// whole.
+const ROUNDS: usize = 5;
+
+/// Capacity windows per phase-2 round; the capacity figure is the median
+/// over all of them.
+const WINDOWS_PER_ROUND: usize = 4;
+
+/// Phase 1 is invalid when the generator's lateness p99 exceeds this many
+/// send intervals: the generator, not the server, fell behind.
+const MAX_LAG_INTERVALS: f64 = 5.0;
 
 struct Config {
     series: usize,
@@ -42,7 +52,7 @@ fn config(scale: Scale) -> Config {
             rate: 500.0,
             window: 64,
             replay: 128,
-            setups: 15,
+            setups: 60,
         },
         Scale::Smoke => Config {
             series: 32,
@@ -89,54 +99,69 @@ pub fn run(seed: u64, seconds: f64, trace: bool, scale: Scale) -> Outcome {
     drop(oracle);
     let mut order: Vec<usize> = (0..pool.len()).collect();
     shuffle(&mut order, &mut rng(seed, 3));
-    release_freed_memory();
 
     let (stack, setup_s) =
         timed_setups(cfg.setups, || Stack::serve(build_catalog(&data)), |stack| drop(stack.stop()));
     drop(data);
+    release_freed_memory();
     let addr = stack.addr();
     let mut out = Outcome::default();
     let rss = RssSampler::start();
     let client = Client::connect(addr).expect("connect");
 
     // Phase 1 takes 60% of the run, phase 2 the rest; a traced run
-    // repeats phase 1 traced.
-    let open_secs = if trace { seconds * 0.3 } else { seconds * 0.6 };
+    // halves both and then repeats phase 1 traced.
+    let share = if trace { 0.5 } else { 1.0 };
+    let open_len = Duration::from_secs_f64(seconds * 0.6 * share / ROUNDS as f64);
+    let cap_len = Duration::from_secs_f64(seconds * 0.4 * share / ROUNDS as f64);
     let warm = Duration::from_secs_f64((seconds * 0.05).min(0.5));
-    let measure = Duration::from_secs_f64(open_secs);
     let cpu0 = cpu_seconds();
-    let (open, planned) = phase_one(&client, &pool, &order, cfg.rate, warm, measure, None);
-    let cpu_ms_per_query = 1e3 * (cpu_seconds() - cpu0) / open.tally.attempted.max(1) as f64;
-    let (p50, p99, p90, dropped, valid) = on_time_latency(&open.tally, planned);
+    let (mut open, mut cap, mut rates) = (Tally::default(), Tally::default(), Vec::new());
+    for round in 0..ROUNDS {
+        let round_warm = if round == 0 { warm } else { Duration::ZERO };
+        let phase = open_loop(&client, &pool, &order, cfg.rate, round_warm, open_len, None);
+        open.absorb(phase.tally);
+        let (tally, window_rates) = capacity(&client, &pool, &order, cfg.window, cap_len);
+        cap.absorb(tally);
+        rates.extend(window_rates);
+    }
+    let ops = (open.attempted + cap.attempted).max(1) as f64;
+    let cpu_ms_per_op = 1e3 * (cpu_seconds() - cpu0) / ops;
+    let p50 = lat_ms(&open.ed, 0.5);
+    let lag_p99_ms = generator_lag_p99_ms(&open);
+    let max_lag_ms = MAX_LAG_INTERVALS * 1e3 / cfg.rate;
+    let valid = lag_p99_ms <= max_lag_ms;
     if !valid {
-        out.notes.push(format!(
-            "monitor_fanout: the generator ran late in {dropped} of its phase-1 blocks; run flagged invalid"
+        out.invalid = Some(format!(
+            "monitor_fanout: generator lateness p99 {lag_p99_ms:.2} ms exceeds {max_lag_ms:.0} ms; \
+             the open loop did not keep to its schedule"
         ));
     }
 
-    let cap_secs = if trace { seconds * 0.2 } else { seconds * 0.4 };
-    let (cap, cap_rate) =
-        capacity(&client, &pool, &order, cfg.window, Duration::from_secs_f64(cap_secs));
     out.e2e.put("setup_s", setup_s, "s");
-    out.e2e.put("queries_per_s", cap_rate, "1/s");
+    out.e2e.put("queries_per_s", median(&mut rates), "1/s");
     out.e2e.put("query_ed_p50_ms", p50, "ms");
-    out.report.put("query_ed_p99_ms", p99, "ms");
-    out.report.put("query_ed_p90_ms", p90, "ms");
-    out.report.put("cpu_ms_per_op", cpu_ms_per_query, "ms");
-    out.report.put("query_ed_samples", open.tally.ed.len() as f64, "count");
+    out.report.put("query_ed_p99_ms", lat_ms(&open.ed, 0.99), "ms");
+    out.report.put("query_ed_p90_ms", lat_ms(&open.ed, 0.9), "ms");
+    out.report.put("cpu_ms_per_op", cpu_ms_per_op, "ms");
+    out.report.put("query_ed_samples", open.ed.len() as f64, "count");
     out.report.put("offered_per_s", cfg.rate, "1/s");
-    let lags: Vec<f64> = open.tally.ed.iter().map(|s| s.lag_us).collect();
-    out.report.put("loadgen.lag_p99_ms", q_ms(&lags, 0.99), "ms");
-    out.report.put("loadgen.blocks_dropped", dropped as f64, "count");
+    out.report.put("loadgen.lag_p99_ms", lag_p99_ms, "ms");
     out.report.put("loadgen.valid", f64::from(u8::from(valid)), "bool");
     out.report.put("capacity_window", cfg.window as f64, "count");
     out.report.put("capacity_p50_ms", lat_ms(&cap.ed, 0.5), "ms");
 
     if trace {
         let epoch = Instant::now();
-        let (traced, planned) =
-            phase_one(&client, &pool, &order, cfg.rate, warm, measure, Some(epoch));
-        let traced_lags: Vec<f64> = traced.tally.ed.iter().map(|s| s.lag_us).collect();
+        let traced = open_loop(
+            &client,
+            &pool,
+            &order,
+            cfg.rate,
+            warm,
+            Duration::from_secs_f64(seconds * 0.3),
+            Some(epoch),
+        );
         let mut spans = Spans::new(Some(epoch));
         let mut checks = Tally::default();
         let replay = layers::replay(
@@ -154,8 +179,8 @@ pub fn run(seed: u64, seconds: f64, trace: bool, scale: Scale) -> Outcome {
                 service: stack.service.metrics(),
                 net: stack.server.net_metrics(),
                 untraced_p50_ms: p50,
-                traced_p50_ms: on_time_latency(&traced.tally, planned).0,
-                lag_p99_ms: q_ms(&traced_lags, 0.99),
+                traced_p50_ms: lat_ms(&traced.tally.ed, 0.5),
+                lag_p99_ms: generator_lag_p99_ms(&traced.tally),
                 catalog_append_us: 0.0,
                 catalog_materialize_us: 0.0,
                 lsm: LsmLayer::default(),
@@ -172,63 +197,15 @@ pub fn run(seed: u64, seconds: f64, trace: bool, scale: Scale) -> Outcome {
     drop(client);
     out.e2e.put("peak_rss_mb", rss.finish(), "MB");
     drop(stack.stop());
-    out.absorb(open.tally);
+    out.absorb(open);
     out.absorb(cap);
     out
 }
 
-/// The generator's lateness p99 over a block, ms.
-fn lag_p99_ms(block: &[Sample]) -> f64 {
-    let lags: Vec<f64> = block.iter().map(|s| s.lag_us).collect();
+/// The generator's lateness p99 over an open-loop tally, ms.
+fn generator_lag_p99_ms(tally: &Tally) -> f64 {
+    let lags: Vec<f64> = tally.ed.iter().map(|s| s.lag_us).collect();
     q_ms(&lags, 0.99)
-}
-
-/// Blocks in which the generator kept to its schedule.
-fn on_time_blocks(tally: &Tally) -> usize {
-    blocks(&tally.ed).iter().filter(|b| lag_p99_ms(b) <= MAX_LAG_P99_MS).count()
-}
-
-/// Phase 1: an open-loop window of `measure`, followed by up to two
-/// half-length windows while fewer than a third of the window's planned
-/// blocks kept to schedule. A noisy neighbour costs run time instead of
-/// moving the figure. Returns the merged load and the planned block
-/// count.
-fn phase_one(
-    client: &Client,
-    pool: &[Req],
-    order: &[usize],
-    rate: f64,
-    warm: Duration,
-    measure: Duration,
-    epoch: Option<Instant>,
-) -> (OpenLoop, usize) {
-    let planned = ((measure.as_secs_f64() * rate) as usize / BLOCK).max(1);
-    let mut open = open_loop(client, pool, order, rate, warm, measure, epoch);
-    for _ in 0..2 {
-        if 3 * on_time_blocks(&open.tally) >= planned {
-            break;
-        }
-        let more = open_loop(client, pool, order, rate, warm, measure / 2, epoch);
-        open.tally.absorb(more.tally);
-        open.spans.extend(more.spans);
-    }
-    (open, planned)
-}
-
-/// Phase-1 latency p50, p99 and p90 (ms) over the blocks in which the
-/// generator kept to its schedule; late blocks are dropped, not averaged
-/// in. When fewer than a third of the `planned` blocks kept to schedule
-/// the run is invalid, and the third of the planned blocks in which the
-/// generator ran least late stand in. Returns
-/// `(p50, p99, p90, blocks dropped, valid)`.
-fn on_time_latency(tally: &Tally, planned: usize) -> (f64, f64, f64, usize, bool) {
-    let mut all = blocks(&tally.ed);
-    all.sort_by(|a, b| lag_p99_ms(a).total_cmp(&lag_p99_ms(b)));
-    let on_time = all.iter().filter(|b| lag_p99_ms(b) <= MAX_LAG_P99_MS).count();
-    let valid = on_time > 0 && 3 * on_time >= planned;
-    let keep = if valid { on_time } else { (planned / 3).clamp(1, all.len()) };
-    let used = &all[..keep];
-    (block_ms(used, 0.5), block_ms(used, 0.99), block_ms(used, 0.9), all.len() - keep, valid)
 }
 
 struct OpenLoop {
@@ -295,15 +272,15 @@ fn open_loop(
 }
 
 /// Keeps `window` requests in flight on one connection for `measure`;
-/// returns what was answered and the completions per second (median over
-/// ten windows).
+/// returns what was answered and the completions per second in each of
+/// [`WINDOWS_PER_ROUND`] equal windows.
 fn capacity(
     client: &Client,
     pool: &[Req],
     order: &[usize],
     window: usize,
     measure: Duration,
-) -> (Tally, f64) {
+) -> (Tally, Vec<f64>) {
     let mut tally = Tally::default();
     let mut inflight: VecDeque<(usize, Instant, Result<Pending, ClientError>)> = VecDeque::new();
     let start = Instant::now();
@@ -321,6 +298,6 @@ fn capacity(
         let reply = sent.and_then(Pending::wait_query);
         tally.query(pool, idx, reply, t0.elapsed().as_secs_f64() * 1e6, 0.0);
     }
-    let rate = window_rate(&tally.done(), start, end, 10);
-    (tally, rate)
+    let rates = window_rates(&tally.done(), start, end, WINDOWS_PER_ROUND);
+    (tally, rates)
 }
