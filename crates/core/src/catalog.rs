@@ -41,7 +41,7 @@
 //! full-rebuild catalog and to a dedicated single-series
 //! [`KvMatcher`](crate::matcher::KvMatcher) over the same data.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use kvmatch_storage::{
@@ -190,6 +190,15 @@ pub fn seal_with_builder<Bld: KvStoreBuilder>(
     Ok(builder.finish()?)
 }
 
+/// Refuses a chunk holding a NaN or infinite point: one such point would
+/// corrupt the series' index rows (and, once persisted, every reopen).
+fn check_finite(series: SeriesId, start: u64, points: &[f64]) -> Result<(), CoreError> {
+    match points.iter().position(|x| !x.is_finite()) {
+        Some(i) => Err(CoreError::NonFinitePoint { series, offset: start + i as u64 }),
+        None => Ok(()),
+    }
+}
+
 /// `BTreeMap`-store backend: everything in memory. The default for tests
 /// and moderate data sizes.
 #[derive(Clone, Debug, Default)]
@@ -320,70 +329,47 @@ impl<B: CatalogBackend> CatalogSnapshot<B> {
         self.entries.get(&series.raw())
     }
 
-    /// Binds a batched executor over the pinned generations.
+    /// Binds a batched executor over every pinned generation.
     pub fn executor(&self) -> Result<QueryExecutor<'_, Arc<B::Store>, B::Data>, CoreError> {
+        self.bind(self.entries.iter())
+    }
+
+    /// One-shot convenience: bind an executor over the series `specs`
+    /// name — only those, however many the snapshot holds — and run the
+    /// batch. Safe from many threads at once: the snapshot is immutable
+    /// and the row caches are thread-safe. Errors match [`executor`]
+    /// followed by [`QueryExecutor::execute_batch`]: an empty snapshot
+    /// fails, an empty batch succeeds, and a spec naming a series the
+    /// snapshot lacks fails the batch with [`CoreError::UnknownSeries`].
+    ///
+    /// [`executor`]: CatalogSnapshot::executor
+    pub fn execute_batch(&self, specs: &[QuerySpec]) -> Result<BatchOutput, CoreError>
+    where
+        B::Data: Sync,
+    {
+        let named: BTreeSet<u64> = specs.iter().map(|spec| spec.series.raw()).collect();
+        self.bind(named.iter().filter_map(|raw| self.entries.get_key_value(raw)))?
+            .execute_batch(specs)
+    }
+
+    /// Binds an executor over `entries`; fails on an empty snapshot.
+    fn bind<'s>(
+        &'s self,
+        entries: impl Iterator<Item = (&'s u64, &'s Arc<SeriesGeneration<B>>)>,
+    ) -> Result<QueryExecutor<'s, Arc<B::Store>, B::Data>, CoreError> {
         if self.entries.is_empty() {
             return Err(CoreError::InvalidQuery("catalog has no series".into()));
         }
         QueryExecutor::multi(
-            self.entries
-                .iter()
+            entries
                 .map(|(&raw, g)| (SeriesId::new(raw), g.index(), g.data(), Arc::clone(g.cache()))),
             self.exec_config,
         )
     }
 
-    /// One-shot convenience: bind an executor and run `specs`. Safe from
-    /// many threads at once — the snapshot is immutable and the row
-    /// caches are thread-safe.
-    pub fn execute_batch(&self, specs: &[QuerySpec]) -> Result<BatchOutput, CoreError>
-    where
-        B::Data: Sync,
-    {
-        self.executor()?.execute_batch(specs)
-    }
-
     /// True when `series` has a published generation in this snapshot.
     pub fn contains(&self, series: SeriesId) -> bool {
         self.entries.contains_key(&series.raw())
-    }
-}
-
-/// A consistent, lock-free read surface over materialized series state —
-/// the one trait both read paths implement, so callers stop reaching for
-/// the deprecated shared-borrow entry points
-/// ([`Catalog::executor_shared`]/[`Catalog::execute_batch_shared`]):
-///
-/// * [`CatalogSnapshot`] — the pinned, immutable view a
-///   [`Catalog::snapshot`] hands out;
-/// * a serving-layer shard handle (`kvmatch_serve`'s
-///   `QueryService::read_view`) — the same snapshot pinned through the
-///   shard that owns the series, without touching the catalog lock.
-///
-/// Everything here executes against immutable generations: no catalog
-/// borrow, no lock, safe from any number of threads.
-pub trait ReadView {
-    /// Series answerable through this view, ascending.
-    fn view_series(&self) -> Vec<SeriesId>;
-
-    /// True when `series` has a published generation in this view.
-    fn contains_series(&self, series: SeriesId) -> bool;
-
-    /// Executes `specs` as one batch; outputs come back in input order.
-    fn execute(&self, specs: &[QuerySpec]) -> Result<BatchOutput, CoreError>;
-}
-
-impl<B: CatalogBackend> ReadView for CatalogSnapshot<B> {
-    fn view_series(&self) -> Vec<SeriesId> {
-        self.series()
-    }
-
-    fn contains_series(&self, series: SeriesId) -> bool {
-        self.contains(series)
-    }
-
-    fn execute(&self, specs: &[QuerySpec]) -> Result<BatchOutput, CoreError> {
-        self.execute_batch(specs)
     }
 }
 
@@ -518,13 +504,15 @@ impl<B: CatalogBackend> Catalog<B> {
     }
 
     /// Registers a series and bulk-loads its initial points through the
-    /// append path (one create + append convenience).
+    /// append path (one create + append convenience). Non-finite points
+    /// are refused before the series is registered.
     pub fn create_series_with(
         &mut self,
         series: SeriesId,
         config: IndexBuildConfig,
         points: &[f64],
     ) -> Result<(), CoreError> {
+        check_finite(series, 0, points)?;
         self.create_series(series, config)?;
         self.append(series, points)
     }
@@ -532,11 +520,14 @@ impl<B: CatalogBackend> Catalog<B> {
     /// Streams live points into a series: the backend durability hook
     /// first, then rolling-mean index maintenance via the series'
     /// [`IndexAppender`]. The points are visible to the next
-    /// executor/batch call. On a durability failure nothing is ingested
-    /// — the catalog never serves points it could not persist, and a
-    /// retried append does not double-ingest.
+    /// executor/batch call. A chunk holding a NaN or infinite point is
+    /// refused whole with [`CoreError::NonFinitePoint`] before anything
+    /// is persisted or counted. On a durability failure nothing is
+    /// ingested — the catalog never serves points it could not persist,
+    /// and a retried append does not double-ingest.
     pub fn append(&mut self, series: SeriesId, points: &[f64]) -> Result<(), CoreError> {
         let entry = self.entries.get_mut(&series.raw()).ok_or(CoreError::UnknownSeries(series))?;
+        check_finite(series, entry.buffer.len() as u64, points)?;
         self.stats.append_calls += 1;
         if points.is_empty() {
             return Ok(());
@@ -693,75 +684,29 @@ impl<B: CatalogBackend> Catalog<B> {
     }
 
     /// Materializes (if needed) and binds a batched executor over every
-    /// series. The executor borrows the catalog, so run the batches you
-    /// need, then drop it before appending again.
+    /// series of the published snapshot. The executor borrows the
+    /// catalog, so run the batches you need, then drop it before
+    /// appending again.
     pub fn executor(&mut self) -> Result<QueryExecutor<'_, Arc<B::Store>, B::Data>, CoreError> {
         self.materialize()?;
-        self.bind_shared_executor()
+        self.published().executor()
     }
 
-    /// The shared-borrow executor binding behind [`Catalog::executor`]
-    /// and the deprecated [`Catalog::executor_shared`].
-    fn bind_shared_executor(&self) -> Result<QueryExecutor<'_, Arc<B::Store>, B::Data>, CoreError> {
-        if self.needs_materialize() {
-            return Err(CoreError::Unmaterialized);
-        }
-        if self.entries.is_empty() {
-            return Err(CoreError::InvalidQuery("catalog has no series".into()));
-        }
-        QueryExecutor::multi(
-            self.entries.iter().map(|(&raw, e)| {
-                let generation = e.current.as_deref().expect("materialized");
-                (
-                    SeriesId::new(raw),
-                    generation.index(),
-                    generation.data(),
-                    Arc::clone(generation.cache()),
-                )
-            }),
-            self.exec_config,
-        )
-    }
-
-    /// Binds a batched executor over the **already-materialized** state
-    /// through a shared (`&self`) borrow — the legacy read path of
-    /// concurrent serving under an `RwLock` read guard. Fails with
-    /// [`CoreError::Unmaterialized`] when any series has appends no
-    /// snapshot has absorbed: the caller (not this method) must run
-    /// [`Catalog::materialize`] under its exclusive borrow first.
-    #[deprecated(
-        since = "0.10.0",
-        note = "pin Catalog::snapshot() and read through the ReadView trait — readers then \
-                never touch the catalog (or its lock) at all"
-    )]
-    pub fn executor_shared(&self) -> Result<QueryExecutor<'_, Arc<B::Store>, B::Data>, CoreError> {
-        self.bind_shared_executor()
-    }
-
-    /// One-shot shared-borrow convenience: bind a read-path executor and
-    /// run `specs`, as long as the catalog is materialized and no
-    /// appender runs concurrently — exactly what an `RwLock` read guard
-    /// provides.
-    #[deprecated(
-        since = "0.10.0",
-        note = "pin Catalog::snapshot() and call ReadView::execute — the snapshot needs no \
-                lock and keeps serving while the catalog ingests"
-    )]
-    pub fn execute_batch_shared(&self, specs: &[QuerySpec]) -> Result<BatchOutput, CoreError>
-    where
-        B::Data: Sync,
-    {
-        self.bind_shared_executor()?.execute_batch(specs)
-    }
-
-    /// One-shot convenience: materialize, bind an executor, run `specs`.
+    /// One-shot convenience: materialize, then run `specs` against the
+    /// published snapshot ([`CatalogSnapshot::execute_batch`]).
     /// Per-generation row caches survive across calls (clean series keep
     /// their generation), so repeated calls keep sharing probe work.
     pub fn execute_batch(&mut self, specs: &[QuerySpec]) -> Result<BatchOutput, CoreError>
     where
         B::Data: Sync,
     {
-        self.executor()?.execute_batch(specs)
+        self.materialize()?;
+        self.published().execute_batch(specs)
+    }
+
+    /// The snapshot [`Catalog::materialize`] just published.
+    fn published(&self) -> &CatalogSnapshot<B> {
+        self.snapshot.as_deref().expect("materialize publishes a snapshot")
     }
 
     /// Splits the catalog into `shards` independently owned catalogs for
@@ -1154,47 +1099,102 @@ mod tests {
         assert!(empty.is_empty());
     }
 
-    /// The legacy read path: a materialized catalog answers through
-    /// `&self` (concurrently), and refuses while appends are pending.
-    /// Deprecated in favor of [`ReadView`] over a pinned snapshot, but
-    /// the contract holds as long as the entry points exist.
-    #[allow(deprecated)]
+    /// Memory data stores that count `len()` reads: binding a series as
+    /// an executor target reads its length, so an unmoved count proves a
+    /// batch never bound that series.
+    struct CountingData {
+        inner: MemorySeriesStore,
+        len_reads: std::sync::atomic::AtomicU64,
+    }
+
+    impl SeriesStore for CountingData {
+        fn len(&self) -> usize {
+            self.len_reads.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            self.inner.len()
+        }
+        fn fetch(&self, offset: usize, len: usize) -> kvmatch_storage::Result<Vec<f64>> {
+            self.inner.fetch(offset, len)
+        }
+        fn io_stats(&self) -> kvmatch_storage::IoStats {
+            self.inner.io_stats()
+        }
+    }
+
+    struct CountingBackend;
+
+    impl CatalogBackend for CountingBackend {
+        type Store = MemoryKvStore;
+        type Data = CountingData;
+        fn seal_generation(
+            &mut self,
+            input: GenerationInput<'_>,
+        ) -> Result<Self::Store, CoreError> {
+            MemoryCatalogBackend.seal_generation(input)
+        }
+        fn data_store(&mut self, _series: SeriesId, xs: &[f64]) -> Result<Self::Data, CoreError> {
+            Ok(CountingData { inner: MemorySeriesStore::new(xs.to_vec()), len_reads: 0.into() })
+        }
+    }
+
+    /// A snapshot batch binds only the series its specs name: a one-spec
+    /// batch over a 64-series snapshot leaves the other 63 series' data
+    /// stores and caches untouched, and the error surface matches binding
+    /// every series.
     #[test]
-    fn shared_executor_serves_materialized_state_only() {
-        let mut cat = Catalog::new(MemoryCatalogBackend);
-        let id = SeriesId::new(1);
-        let xs = seeded(71, 4_000);
-        cat.create_series_with(id, IndexBuildConfig::new(50), &xs).unwrap();
-        let spec = QuerySpec::rsm_ed(xs[300..550].to_vec(), 7.0).with_series(id);
-
-        // Dirty catalog: the shared borrow must refuse, not materialize.
-        assert!(matches!(
-            cat.execute_batch_shared(std::slice::from_ref(&spec)),
-            Err(CoreError::Unmaterialized)
-        ));
+    fn snapshot_batch_binds_only_named_series() {
+        let mut cat = Catalog::new(CountingBackend);
+        let ids: Vec<SeriesId> = (1..=64).map(SeriesId::new).collect();
+        for (i, id) in ids.iter().enumerate() {
+            cat.create_series_with(*id, IndexBuildConfig::new(25), &seeded(200 + i as u64, 600))
+                .unwrap();
+        }
         cat.materialize().unwrap();
-
-        // Clean catalog: &self batches from many threads agree with the
-        // exclusive-borrow path.
-        let want =
-            cat.execute_batch(std::slice::from_ref(&spec)).unwrap().outputs[0].results.clone();
-        let cat_ref = &cat;
-        std::thread::scope(|scope| {
-            for _ in 0..3 {
-                let spec = spec.clone();
-                let want = want.clone();
-                scope.spawn(move || {
-                    let batch = cat_ref.execute_batch_shared(std::slice::from_ref(&spec)).unwrap();
-                    assert_eq!(batch.outputs[0].results, want);
-                });
+        let snap = cat.snapshot().unwrap();
+        let target = ids[17];
+        let touches = |snap: &CatalogSnapshot<CountingBackend>| -> Vec<_> {
+            ids.iter()
+                .map(|id| {
+                    let g = snap.generation(*id).unwrap();
+                    (
+                        g.data().len_reads.load(std::sync::atomic::Ordering::Relaxed),
+                        g.cache().stats(),
+                    )
+                })
+                .collect()
+        };
+        let before = touches(&snap);
+        let xs = seeded(217, 600);
+        let spec = QuerySpec::rsm_ed(xs[100..200].to_vec(), 2.0).with_series(target);
+        let batch = snap.execute_batch(std::slice::from_ref(&spec)).unwrap();
+        assert_eq!(batch.stats.series_touched, 1);
+        assert!(batch.outputs[0].results.iter().any(|r| r.offset == 100));
+        let after = touches(&snap);
+        for ((id, (reads_before, cache_before)), (reads, cache)) in
+            ids.iter().zip(&before).zip(&after)
+        {
+            if *id == target {
+                assert_eq!(cache.since(cache_before), batch.stats.row_cache);
+                assert!(cache.misses > cache_before.misses, "the named series was probed");
+            } else {
+                assert_eq!(reads, reads_before, "{id} was bound by a batch that never named it");
+                assert_eq!(cache, cache_before, "{id}'s cache moved");
             }
-        });
-
-        // A new append dirties the read path again until materialized.
-        cat.append(id, &seeded(72, 200)).unwrap();
-        assert!(matches!(cat.executor_shared(), Err(CoreError::Unmaterialized)));
-        cat.materialize().unwrap();
-        assert!(cat.executor_shared().is_ok());
+        }
+        // Same errors as a full bind: an empty batch succeeds, unknown
+        // series fail, an empty snapshot fails.
+        assert!(snap.execute_batch(&[]).unwrap().outputs.is_empty());
+        let stray = spec.clone().with_series(SeriesId::new(999));
+        assert!(matches!(
+            snap.execute_batch(std::slice::from_ref(&stray)),
+            Err(CoreError::UnknownSeries(id)) if id == SeriesId::new(999)
+        ));
+        assert!(matches!(snap.execute_batch(&[spec, stray]), Err(CoreError::UnknownSeries(_))));
+        let mut empty = Catalog::new(MemoryCatalogBackend);
+        empty.materialize().unwrap();
+        assert!(matches!(
+            empty.snapshot().unwrap().execute_batch(&[]),
+            Err(CoreError::InvalidQuery(_))
+        ));
     }
 
     #[test]
@@ -1232,12 +1232,6 @@ mod tests {
         ));
     }
 
-    /// Runs a batch through any [`ReadView`] — the generic read path the
-    /// serving layer's shard handles share with plain snapshots.
-    fn through_read_view<V: ReadView>(view: &V, specs: &[QuerySpec]) -> BatchOutput {
-        view.execute(specs).unwrap()
-    }
-
     #[test]
     fn split_shards_serve_bit_identically_and_absorb_restores_the_union() {
         let mut cat = Catalog::new(MemoryCatalogBackend);
@@ -1268,13 +1262,13 @@ mod tests {
             let snap = shard.snapshot().unwrap();
             let owned: Vec<u64> =
                 raws.iter().copied().filter(|&raw| route(SeriesId::new(raw)) == idx).collect();
-            assert_eq!(snap.view_series().iter().map(|s| s.raw()).collect::<Vec<_>>(), owned);
+            assert_eq!(snap.series().iter().map(|s| s.raw()).collect::<Vec<_>>(), owned);
             // Each shard answers its own series bit-identically to the
-            // pre-split catalog, through the ReadView trait.
+            // pre-split catalog, through its pinned snapshot.
             for (&raw, (spec, want)) in raws.iter().zip(specs.iter().zip(&want.outputs)) {
-                assert_eq!(snap.contains_series(SeriesId::new(raw)), owned.contains(&raw));
+                assert_eq!(snap.contains(SeriesId::new(raw)), owned.contains(&raw));
                 if owned.contains(&raw) {
-                    let out = through_read_view(&*snap, std::slice::from_ref(spec));
+                    let out = snap.execute_batch(std::slice::from_ref(spec)).unwrap();
                     assert_eq!(out.outputs[0].results, want.results);
                 }
             }

@@ -13,9 +13,9 @@ use kvmatch_storage::{KvStore, KvStoreBuilder, SeriesStore};
 
 use crate::build::IndexBuildConfig;
 use crate::cache::RowCache;
+use crate::exec::{verify_inline, Plan};
 use crate::index::KvIndex;
-use crate::interval::IntervalSet;
-use crate::matcher::{verify_candidates, PreparedQuery};
+use crate::matcher::PreparedQuery;
 use crate::query::{CoreError, MatchResult, MatchStats, QuerySpec};
 
 /// Configuration of the index set.
@@ -305,61 +305,30 @@ impl<'a, S: KvStore, D: SeriesStore> DpMatcher<'a, S, D> {
         spec: &QuerySpec,
     ) -> Result<(Vec<MatchResult>, MatchStats, Vec<Segment>), CoreError> {
         let prep = PreparedQuery::new(spec.clone())?;
-        let n = self.data.len();
-        let mut stats = MatchStats::default();
-        if prep.m > n {
-            return Ok((Vec::new(), stats, Vec::new()));
+        if prep.m > self.data.len() {
+            return Ok((Vec::new(), MatchStats::default(), Vec::new()));
         }
 
+        // Phase 1 — timed from the start of segmentation.
         let t1 = Instant::now();
-        let mut segments = self.multi.segment_query(&prep)?;
-
+        let segments = self.multi.segment_query(&prep)?;
+        let index_for =
+            |seg: &Segment| self.multi.index_for(seg.window).expect("segment windows come from Σ");
         // Probe order: ascending estimated cost when requested.
-        let mut order: Vec<usize> = (0..segments.len()).collect();
+        let mut order = segments.clone();
         if self.options.reorder_by_cost {
-            let costs: Vec<u64> = segments
-                .iter()
-                .map(|seg| {
-                    let range = prep.window_range(seg.offset, seg.window);
-                    self.multi
-                        .index_for(seg.window)
-                        .expect("segment windows come from Σ")
-                        .meta()
-                        .estimate_intervals(range.lower, range.upper)
-                })
-                .collect();
-            order.sort_by_key(|&i| costs[i]);
-        }
-        let limit = self.options.max_windows.unwrap_or(segments.len()).max(1);
-
-        let mut cs: Option<IntervalSet> = None;
-        for &si in order.iter().take(limit) {
-            let seg = segments[si];
-            let idx = self.multi.index_for(seg.window).expect("segment windows come from Σ");
-            let range = prep.window_range(seg.offset, seg.window);
-            let (is, info) = match self.row_cache {
-                Some(cache) => idx.probe_cached(range.lower, range.upper, cache)?,
-                None => idx.probe(range.lower, range.upper)?,
-            };
-            stats.absorb_probe(&info);
-            let csi = is.shift_left(seg.offset as u64);
-            cs = Some(match cs {
-                None => csi,
-                Some(prev) => prev.intersect(&csi),
+            order.sort_by_cached_key(|seg| {
+                let range = prep.window_range(seg.offset, seg.window);
+                index_for(seg).meta().estimate_intervals(range.lower, range.upper)
             });
-            if cs.as_ref().expect("just set").is_empty() {
-                break;
-            }
         }
-        let cs = cs.expect("segmentation yields ≥ 1 window").clamp_max((n - prep.m) as u64);
-        stats.candidates = cs.num_positions();
-        stats.candidate_intervals = cs.num_intervals() as u64;
-        stats.phase1_nanos = t1.elapsed().as_nanos() as u64;
+        let limit = self.options.max_windows.unwrap_or(order.len()).max(1);
+        let mut plan = Plan::new(prep, self.data, 0);
+        let windows = order.iter().take(limit).map(|seg| (index_for(seg), seg.offset));
+        plan.probe(windows, self.row_cache)?;
+        plan.stats.phase1_nanos = t1.elapsed().as_nanos() as u64;
 
-        let t2 = Instant::now();
-        let results = verify_candidates(self.data, &prep, &cs, &mut stats)?;
-        stats.phase2_nanos = t2.elapsed().as_nanos() as u64;
-        segments.sort_by_key(|s| s.offset);
+        let (results, stats) = verify_inline(plan)?;
         Ok((results, stats, segments))
     }
 }

@@ -1,41 +1,48 @@
-//! Batched, multi-threaded query execution across one or many series.
+//! The query path — one probe phase and one verify phase behind every
+//! matcher — and the batched, multi-threaded [`QueryExecutor`].
 //!
-//! [`QueryExecutor`] takes a *batch* of ED/DTW queries — possibly
-//! targeting different series of a catalog — and answers all of them with
-//! less total work than running [`KvMatcher`](crate::matcher::KvMatcher)
-//! once per query. The batching model has three layers:
+//! Algorithm 1 has two phases, and each is written once here:
 //!
-//! 1. **Planning once.** Every query is validated and pre-processed
-//!    ([`PreparedQuery`]) up front: window segmentation (`p = ⌊m/w⌋`
-//!    windows at offsets `i·w`), lemma ranges, envelopes and cascade
-//!    material are computed exactly once per query before any I/O starts,
-//!    and each query is routed to its target series (an
-//!    [`UnknownSeries`](crate::query::CoreError::UnknownSeries) routing
-//!    error fails the batch before any work runs).
-//! 2. **Shared probing.** Phase 1 runs on the calling thread, routing
-//!    every window probe through the target series' [`RowCache`]. Queries
-//!    whose lemma ranges overlap — the common case for related queries
-//!    over the same series — hit rows another query already fetched, so
-//!    each distinct row span costs one store scan for the *whole batch*.
-//!    Caches are **per series**: same-window rows of different series
-//!    never alias. Probe accounting keeps real scans
-//!    ([`MatchStats::index_accesses`]) and cache-served probes
-//!    ([`MatchStats::probe_cache_hits`]) distinct.
-//! 3. **Fanned-out verification.** Phase 2 flattens every (query,
-//!    candidate-interval) pair — across *all* series — into one work list
-//!    and drains it from a [`std::thread::scope`] worker pool. Each work
-//!    item runs the same per-interval verification routine (and the same
-//!    shared [`LbCascade`](kvmatch_distance::LbCascade) stages) the
-//!    sequential matcher runs, so batched results are **bit-identical**
-//!    per series to per-query [`KvMatcher`](crate::matcher::KvMatcher)
-//!    output — the equivalence tests assert exact equality, including
-//!    distances.
+//! 1. **Probe.** A query's plan probes a list of windows `Q(offset, w)`,
+//!    each against an index of width `w`: the window's lemma range, one
+//!    scan (through a [`RowCache`] when given), a left shift by `offset`,
+//!    and an intersection into the running candidate set. Probing stops
+//!    once the intersection is empty. [`KvMatcher`] passes the fixed
+//!    windows `i·w`. [`DpMatcher`] passes its cost-ordered segments. The
+//!    executor probes each planned query of a batch this way.
+//! 2. **Verify.** Every (query, candidate interval) pair becomes one work
+//!    item, and one worker loop drains the list, running the per-interval
+//!    verification routine (and the shared
+//!    [`LbCascade`](kvmatch_distance::LbCascade) stages) on each. The
+//!    matchers run the loop inline on a one-query list. The executor runs
+//!    it inline at one thread or on `threads` scoped workers. One
+//!    merge-and-finish step folds the outputs back in (query, interval)
+//!    order, applies top-k selection and roots the distances.
 //!
-//! Worker results are merged back in deterministic (query, interval)
-//! order; per-query statistics report the same candidate counts as
-//! sequential execution, while [`BatchStats`] carries the batch-level
-//! numbers and [`BatchOutput::per_series`] the per-series split (wall
-//! time, probe sharing, matches) the bench report publishes.
+//! Since every caller runs the same two phases, batched results are
+//! **bit-identical** per series to per-query
+//! [`KvMatcher`] output — the equivalence tests assert exact equality,
+//! including distances and candidate, probe and cascade counters.
+//!
+//! A batch adds two things on top. It **plans once**: every query is
+//! routed to its target series, validated and pre-processed
+//! ([`PreparedQuery`]) before any I/O starts, and an
+//! [`UnknownSeries`](crate::query::CoreError::UnknownSeries) or invalid
+//! query fails the batch before any work runs. And it **shares probes**:
+//! every window probe goes through the target series' [`RowCache`], so
+//! queries whose lemma ranges overlap hit rows another query already
+//! fetched, and each distinct row span costs one store scan for the whole
+//! batch. Caches are per series, so same-window rows of different series
+//! never alias. Probe accounting keeps real scans
+//! ([`MatchStats::index_accesses`]) and cache-served probes
+//! ([`MatchStats::probe_cache_hits`]) distinct.
+//!
+//! [`BatchStats`] carries the batch-level numbers and
+//! [`BatchOutput::per_series`] the per-series split (wall time, probe
+//! sharing, matches) the bench report publishes.
+//!
+//! [`KvMatcher`]: crate::matcher::KvMatcher
+//! [`DpMatcher`]: crate::dp::DpMatcher
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -48,9 +55,9 @@ use kvmatch_distance::{AdaptivePolicy, BestSoFar, KernelScratch};
 use parking_lot::Mutex;
 
 use crate::cache::{RowCache, RowCacheStats};
-use crate::index::KvIndex;
+use crate::index::{KvIndex, ScanInfo};
 use crate::interval::{IntervalSet, WindowInterval};
-use crate::matcher::{verify_interval, PreparedQuery};
+use crate::matcher::{verify_interval, IntervalVerification, PreparedQuery};
 use crate::query::{select_top_k, CoreError, MatchResult, MatchStats, QuerySpec};
 
 /// Tuning knobs for a [`QueryExecutor`].
@@ -163,13 +170,18 @@ pub struct BatchOutput {
     pub per_series: Vec<SeriesBatchStats>,
 }
 
-/// A per-query execution plan produced by phase 1.
-struct Plan {
-    prep: PreparedQuery,
+/// One query on its way through both phases: the pre-processed query,
+/// the store its candidates are fetched from, the candidate set phase 1
+/// produced, and the statistics both phases fill in.
+pub(crate) struct Plan<'d, D> {
+    pub(crate) prep: PreparedQuery,
+    data: &'d D,
+    /// The executor target serving the query (0 for the matchers).
     target: usize,
+    /// Window probes issued.
     probes: u64,
     cs: IntervalSet,
-    stats: MatchStats,
+    pub(crate) stats: MatchStats,
     /// Top-k only: the query's shared best-so-far threshold. Workers
     /// verifying *any* of this query's intervals — potentially on
     /// different threads — tighten and read the same bound, so a good
@@ -177,18 +189,187 @@ struct Plan {
     best: Option<Mutex<BestSoFar>>,
 }
 
+impl<'d, D: SeriesStore> Plan<'d, D> {
+    pub(crate) fn new(prep: PreparedQuery, data: &'d D, target: usize) -> Self {
+        let best = prep.best_so_far();
+        let (cs, stats) = (IntervalSet::new(), MatchStats::default());
+        Self { prep, data, target, probes: 0, cs, stats, best }
+    }
+
+    /// Phase 1: probes `windows` — `(index, offset)` pairs naming the
+    /// query window `Q(offset, index.window())` — in order, intersecting
+    /// their candidate sets and stopping once the intersection is empty.
+    /// A query longer than the series probes nothing and keeps an empty
+    /// candidate set.
+    pub(crate) fn probe<'i, S: KvStore + 'i>(
+        &mut self,
+        windows: impl IntoIterator<Item = (&'i KvIndex<S>, usize)>,
+        cache: Option<&RowCache>,
+    ) -> Result<(), CoreError> {
+        let (m, n) = (self.prep.m, self.data.len());
+        if m > n {
+            return Ok(());
+        }
+        let t = Instant::now();
+        let mut cs: Option<IntervalSet> = None;
+        for (index, offset) in windows {
+            let (csi, info) = probe_window(&self.prep, index, offset, cache)?;
+            self.stats.absorb_probe(&info);
+            self.probes += 1;
+            let next = match cs {
+                None => csi,
+                Some(prev) => prev.intersect(&csi),
+            };
+            let empty = next.is_empty();
+            cs = Some(next);
+            if empty {
+                break;
+            }
+        }
+        self.cs = cs.expect("a query probes at least one window").clamp_max((n - m) as u64);
+        self.stats.candidates = self.cs.num_positions();
+        self.stats.candidate_intervals = self.cs.num_intervals() as u64;
+        self.stats.phase1_nanos = t.elapsed().as_nanos() as u64;
+        Ok(())
+    }
+}
+
+/// The fixed disjoint query windows `Q(i·w, w)`, `0 ≤ i < ⌊m/w⌋`, of
+/// Algorithm 1 over one index of width `w`.
+pub(crate) fn fixed_windows<S: KvStore>(
+    index: &KvIndex<S>,
+    m: usize,
+) -> impl Iterator<Item = (&KvIndex<S>, usize)> {
+    let w = index.window();
+    (0..m / w).map(move |i| (index, i * w))
+}
+
+/// Probes one query window `Q(offset, index.window())`: its lemma range,
+/// one index scan (through `cache` when given), and the left shift by
+/// `offset` that turns `IS_i` into `CS_i`.
+pub(crate) fn probe_window<S: KvStore>(
+    prep: &PreparedQuery,
+    index: &KvIndex<S>,
+    offset: usize,
+    cache: Option<&RowCache>,
+) -> Result<(IntervalSet, ScanInfo), CoreError> {
+    let range = prep.window_range(offset, index.window());
+    let (is, info) = match cache {
+        Some(cache) => index.probe_cached(range.lower, range.upper, cache)?,
+        None => index.probe(range.lower, range.upper)?,
+    };
+    Ok((is.shift_left(offset as u64), info))
+}
+
 /// One unit of phase-2 work: a candidate interval of one query.
-#[derive(Clone, Copy)]
-struct WorkItem {
+pub(crate) struct WorkItem {
     query: usize,
     interval: WindowInterval,
 }
 
-/// What a worker produced for one [`WorkItem`].
-struct WorkOutput {
+/// What the worker loop produced for one [`WorkItem`].
+pub(crate) struct WorkOutput {
     item_idx: usize,
     nanos: u64,
-    verification: Result<crate::matcher::IntervalVerification, CoreError>,
+    verification: Result<IntervalVerification, CoreError>,
+}
+
+/// The phase-2 work list: every plan's candidate intervals, in (query,
+/// interval) order.
+pub(crate) fn work_items<D>(plans: &[Plan<'_, D>]) -> Vec<WorkItem> {
+    plans
+        .iter()
+        .enumerate()
+        .flat_map(|(query, plan)| {
+            plan.cs.intervals().iter().map(move |&interval| WorkItem { query, interval })
+        })
+        .collect()
+}
+
+/// The phase-2 worker loop: claims items off `next` until the list is
+/// drained (or an item fails, which stops every worker sharing `next`).
+/// The worker's kernel scratch is pre-sized for the longest query and
+/// widest band in `plans`, so verification performs no kernel heap
+/// allocation.
+pub(crate) fn drain_work<D: SeriesStore>(
+    plans: &[Plan<'_, D>],
+    items: &[WorkItem],
+    next: &AtomicUsize,
+) -> Vec<WorkOutput> {
+    let (m, rho) = plans
+        .iter()
+        .fold((0, 0), |(m, rho), p| (m.max(p.prep.m), rho.max(p.prep.spec.measure.rho())));
+    let mut scratch = KernelScratch::with_query_capacity(m, rho);
+    let mut produced = Vec::new();
+    // `next` only hands out item indices; outputs travel back through the
+    // caller (thread join), so no ordering beyond `Relaxed` is needed.
+    loop {
+        let item_idx = next.fetch_add(1, Ordering::Relaxed);
+        let Some(item) = items.get(item_idx) else { break };
+        let plan = &plans[item.query];
+        let t = Instant::now();
+        let verification =
+            verify_interval(plan.data, &plan.prep, item.interval, &mut scratch, plan.best.as_ref());
+        if verification.is_err() {
+            next.store(items.len(), Ordering::Relaxed);
+        }
+        produced.push(WorkOutput { item_idx, nanos: t.elapsed().as_nanos() as u64, verification });
+    }
+    produced
+}
+
+/// Merge-and-finish: folds the worker outputs back into their plans in
+/// (query, interval) order — the sequential append order, whatever the
+/// worker interleaving — then reduces each top-k query to its final k
+/// (the survivors still carry comparison-domain values) and roots the
+/// distances. Returns each plan's results; the first failed item, in
+/// item order, fails the whole call.
+pub(crate) fn finish<D>(
+    plans: &mut [Plan<'_, D>],
+    items: &[WorkItem],
+    mut outputs: Vec<WorkOutput>,
+) -> Result<Vec<Vec<MatchResult>>, CoreError> {
+    outputs.sort_unstable_by_key(|o| o.item_idx);
+    let mut merged: Vec<Vec<MatchResult>> = plans.iter().map(|_| Vec::new()).collect();
+    for out in outputs {
+        let query = items[out.item_idx].query;
+        let iv = out.verification?;
+        let stats = &mut plans[query].stats;
+        stats.points_fetched += iv.points_fetched;
+        stats.absorb_cascade(&iv.cascade);
+        stats.alloc_events += iv.alloc_events;
+        stats.phase2_nanos += out.nanos;
+        merged[query].extend(iv.results);
+    }
+    for (plan, results) in plans.iter_mut().zip(&mut merged) {
+        // Worker interleaving only affects which *excess* top-k
+        // candidates were kept along the way, never the selected set.
+        if let Some(k) = plan.prep.spec.limit {
+            select_top_k(results, k);
+            for r in results.iter_mut() {
+                r.distance = plan.prep.distance_of(r.distance);
+            }
+        }
+        plan.stats.matches = results.len() as u64;
+    }
+    Ok(merged)
+}
+
+/// Phase 2 of one planned query, inline on the calling thread — the
+/// sequential matchers' path. `phase2_nanos` is the wall time of the
+/// whole phase.
+pub(crate) fn verify_inline<D: SeriesStore>(
+    plan: Plan<'_, D>,
+) -> Result<(Vec<MatchResult>, MatchStats), CoreError> {
+    let t = Instant::now();
+    let mut plans = [plan];
+    let items = work_items(&plans);
+    let outputs = drain_work(&plans, &items, &AtomicUsize::new(0));
+    let results = finish(&mut plans, &items, outputs)?.pop().expect("one plan, one result set");
+    let [plan] = plans;
+    let mut stats = plan.stats;
+    stats.phase2_nanos = t.elapsed().as_nanos() as u64;
+    Ok((results, stats))
 }
 
 /// One series served by a [`QueryExecutor`]: its index view, its data
@@ -233,7 +414,8 @@ impl<'a, S: KvStore, D: SeriesStore> QueryExecutor<'a, S, D> {
     /// row cache (the catalog passes long-lived caches in, so probe
     /// sharing survives across batches and materializations keep clean
     /// series' caches warm). Series ids must be unique and every index
-    /// must match its data store's length.
+    /// must match its data store's length. An executor over no series
+    /// answers every non-empty batch with [`CoreError::UnknownSeries`].
     pub fn multi(
         targets: impl IntoIterator<Item = (SeriesId, &'a KvIndex<S>, &'a D, Arc<RowCache>)>,
         config: ExecutorConfig,
@@ -253,9 +435,6 @@ impl<'a, S: KvStore, D: SeriesStore> QueryExecutor<'a, S, D> {
             }
             resolved.push(ExecTarget { series, index, data, cache });
         }
-        if resolved.is_empty() {
-            return Err(CoreError::InvalidQuery("executor needs at least one target".into()));
-        }
         Ok(Self { targets: resolved, by_series, config })
     }
 
@@ -264,14 +443,9 @@ impl<'a, S: KvStore, D: SeriesStore> QueryExecutor<'a, S, D> {
         self.targets.iter().map(|t| t.series).collect()
     }
 
-    /// The first target's row cache (the only one for single-series
-    /// executors). Persists across batches, so repeated batches keep
-    /// sharing probe work.
-    pub fn cache(&self) -> &RowCache {
-        &self.targets[0].cache
-    }
-
     /// The row cache serving `series`, if the executor has that target.
+    /// Caches persist across batches, so repeated batches keep sharing
+    /// probe work.
     pub fn cache_for(&self, series: SeriesId) -> Option<&RowCache> {
         self.by_series.get(&series.raw()).map(|&i| &*self.targets[i].cache)
     }
@@ -296,9 +470,8 @@ impl<'a, S: KvStore, D: SeriesStore> QueryExecutor<'a, S, D> {
     {
         let cache_before: Vec<RowCacheStats> =
             self.targets.iter().map(|t| t.cache.stats()).collect();
-        let mut batch = BatchStats { queries: specs.len() as u64, ..BatchStats::default() };
 
-        // Phase 0: route and plan every query before any I/O.
+        // Route and plan every query before any I/O.
         let mut plans = Vec::with_capacity(specs.len());
         for spec in specs {
             let target = *self
@@ -307,176 +480,48 @@ impl<'a, S: KvStore, D: SeriesStore> QueryExecutor<'a, S, D> {
                 .ok_or(CoreError::UnknownSeries(spec.series))?;
             let mut prep = PreparedQuery::new(spec.clone())?;
             prep.set_adaptive(self.config.adaptive_cascade);
-            let w = self.targets[target].index.window();
-            if prep.m < w {
-                return Err(CoreError::QueryTooShort { query_len: prep.m, window: w });
-            }
-            let best = prep.best_so_far();
-            plans.push(Plan {
-                prep,
-                target,
-                probes: 0,
-                cs: IntervalSet::new(),
-                stats: MatchStats::default(),
-                best,
-            });
+            prep.check_window(self.targets[target].index.window())?;
+            plans.push(Plan::new(prep, self.targets[target].data, target));
         }
-        batch.series_touched = {
-            let mut touched: Vec<usize> = plans.iter().map(|p| p.target).collect();
-            touched.sort_unstable();
-            touched.dedup();
-            touched.len() as u64
-        };
 
-        // Phase 1: probe through each series' shared row cache,
-        // sequentially.
+        // Phase 1, sequentially, through each series' shared row cache.
         let t_probe = Instant::now();
         for plan in &mut plans {
-            let t1 = Instant::now();
             let target = &self.targets[plan.target];
-            let w = target.index.window();
-            let n = target.data.len();
-            let m = plan.prep.m;
-            if m > n {
-                continue; // no window fits; empty candidate set
-            }
-            let p = m / w;
-            let mut cs: Option<IntervalSet> = None;
-            for i in 0..p {
-                let range = plan.prep.window_range(i * w, w);
-                let (is, info) =
-                    target.index.probe_cached(range.lower, range.upper, &target.cache)?;
-                plan.stats.absorb_probe(&info);
-                plan.probes += 1;
-                batch.probes += 1;
-                batch.store_scans += info.scans;
-                if info.is_cache_hit() {
-                    batch.probe_cache_hits += 1;
-                }
-                let csi = is.shift_left((i * w) as u64);
-                cs = Some(match cs {
-                    None => csi,
-                    Some(prev) => prev.intersect(&csi),
-                });
-                if cs.as_ref().expect("just set").is_empty() {
-                    break;
-                }
-            }
-            plan.cs = cs.expect("p ≥ 1 because m ≥ w").clamp_max((n - m) as u64);
-            plan.stats.candidates = plan.cs.num_positions();
-            plan.stats.candidate_intervals = plan.cs.num_intervals() as u64;
-            plan.stats.phase1_nanos = t1.elapsed().as_nanos() as u64;
+            plan.probe(fixed_windows(target.index, plan.prep.m), Some(&target.cache))?;
         }
-        batch.probe_nanos = t_probe.elapsed().as_nanos() as u64;
+        let probe_nanos = t_probe.elapsed().as_nanos() as u64;
 
-        // Phase 2: flatten (query, interval) work items across every
-        // series and fan out over one worker pool.
-        let items: Vec<WorkItem> = plans
-            .iter()
-            .enumerate()
-            .flat_map(|(query, plan)| {
-                plan.cs.intervals().iter().map(move |&interval| WorkItem { query, interval })
-            })
-            .collect();
-        batch.work_items = items.len() as u64;
-
-        // Workers only need each plan's data store; collecting the refs
-        // here keeps the spawned closures independent of the store type
-        // `S` (only `D: Sync` is required).
-        let data_refs: Vec<&D> = self.targets.iter().map(|t| t.data).collect();
+        // Phase 2: one work list across every series, drained inline or
+        // by a scoped worker pool.
+        let items = work_items(&plans);
         let threads = self.threads().min(items.len()).max(1);
-        batch.threads = threads as u64;
+        let next = AtomicUsize::new(0);
         let t_verify = Instant::now();
-        let mut outputs: Vec<WorkOutput> = if items.is_empty() {
-            Vec::new()
-        } else if threads == 1 {
-            // Single worker: run inline, skipping thread spawn/join cost.
-            // One scratch per worker: after the first item it is warm and
-            // verification performs no kernel heap allocations.
-            let mut produced = Vec::with_capacity(items.len());
-            let mut scratch = KernelScratch::new();
-            for (item_idx, item) in items.iter().enumerate() {
-                let plan = &plans[item.query];
-                let t = Instant::now();
-                let verification = verify_interval(
-                    data_refs[plan.target],
-                    &plan.prep,
-                    item.interval,
-                    &mut scratch,
-                    plan.best.as_ref(),
-                );
-                produced.push(WorkOutput {
-                    item_idx,
-                    nanos: t.elapsed().as_nanos() as u64,
-                    verification,
-                });
-            }
-            produced
+        let outputs = if threads == 1 {
+            drain_work(&plans, &items, &next)
         } else {
-            let next = AtomicUsize::new(0);
-            let next_ref = &next;
-            let plans_ref = &plans;
-            let items_ref = &items;
-            let data_ref = &data_refs;
             std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..threads)
-                    .map(|_| {
-                        scope.spawn(move || {
-                            let mut produced = Vec::new();
-                            let mut scratch = KernelScratch::new();
-                            loop {
-                                let item_idx = next_ref.fetch_add(1, Ordering::Relaxed);
-                                if item_idx >= items_ref.len() {
-                                    break;
-                                }
-                                let item = items_ref[item_idx];
-                                let plan = &plans_ref[item.query];
-                                let t = Instant::now();
-                                let verification = verify_interval(
-                                    data_ref[plan.target],
-                                    &plan.prep,
-                                    item.interval,
-                                    &mut scratch,
-                                    plan.best.as_ref(),
-                                );
-                                produced.push(WorkOutput {
-                                    item_idx,
-                                    nanos: t.elapsed().as_nanos() as u64,
-                                    verification,
-                                });
-                            }
-                            produced
-                        })
-                    })
+                let workers: Vec<_> = (0..threads)
+                    .map(|_| scope.spawn(|| drain_work(&plans, &items, &next)))
                     .collect();
-                handles
+                workers
                     .into_iter()
-                    .flat_map(|h| h.join().expect("verification worker panicked"))
+                    .flat_map(|w| w.join().expect("verification worker panicked"))
                     .collect()
             })
         };
-        batch.verify_nanos = t_verify.elapsed().as_nanos() as u64;
+        let verify_nanos = t_verify.elapsed().as_nanos() as u64;
+        let results = finish(&mut plans, &items, outputs)?;
 
-        // Merge in deterministic (query, interval) order. Items were
-        // created query-by-query over already-sorted interval sets, so
-        // ascending item index reproduces the sequential append order.
-        // The inline (single-worker) path produced them in that order
-        // already.
-        if threads > 1 {
-            outputs.sort_unstable_by_key(|o| o.item_idx);
-        }
-        let mut merged: Vec<Vec<MatchResult>> = plans.iter().map(|_| Vec::new()).collect();
-        for out in outputs {
-            let query = items[out.item_idx].query;
-            let plan = &mut plans[query];
-            let iv = out.verification?;
-            plan.stats.points_fetched += iv.points_fetched;
-            plan.stats.absorb_cascade(&iv.cascade);
-            plan.stats.alloc_events += iv.alloc_events;
-            plan.stats.phase2_nanos += out.nanos;
-            merged[query].extend(iv.results);
-        }
-
+        let mut batch = BatchStats {
+            queries: specs.len() as u64,
+            probe_nanos,
+            verify_nanos,
+            work_items: items.len() as u64,
+            threads: threads as u64,
+            ..BatchStats::default()
+        };
         for (target, before) in self.targets.iter().zip(&cache_before) {
             let delta = target.cache.stats().since(before);
             batch.row_cache.hits += delta.hits;
@@ -492,34 +537,28 @@ impl<'a, S: KvStore, D: SeriesStore> QueryExecutor<'a, S, D> {
             .collect();
         let outputs: Vec<QueryOutput> = plans
             .into_iter()
-            .zip(merged)
-            .map(|(mut plan, mut results)| {
-                // Top-k: reduce the accumulated survivors (still carrying
-                // comparison-domain values) to the final k with the same
-                // deterministic selection the sequential matcher applies,
-                // then root the distances — worker interleaving only
-                // affects which *excess* candidates were kept along the
-                // way, never the selected set.
-                if let Some(k) = plan.prep.spec.limit {
-                    select_top_k(&mut results, k);
-                    crate::matcher::finish_topk_distances(&plan.prep, &mut results);
-                }
-                plan.stats.matches = results.len() as u64;
+            .zip(results)
+            .map(|(plan, results)| {
+                let stats = plan.stats;
+                batch.probes += plan.probes;
+                batch.probe_cache_hits += stats.probe_cache_hits;
+                batch.store_scans += stats.index_accesses;
                 let s = &mut per_target[plan.target];
                 s.queries += 1;
-                s.probe_nanos += plan.stats.phase1_nanos;
-                s.verify_nanos += plan.stats.phase2_nanos;
+                s.probe_nanos += stats.phase1_nanos;
+                s.verify_nanos += stats.phase2_nanos;
                 s.probes += plan.probes;
-                s.probe_cache_hits += plan.stats.probe_cache_hits;
-                s.store_scans += plan.stats.index_accesses;
-                s.work_items += plan.stats.candidate_intervals;
-                s.matches += plan.stats.matches;
-                QueryOutput { results, stats: plan.stats }
+                s.probe_cache_hits += stats.probe_cache_hits;
+                s.store_scans += stats.index_accesses;
+                s.work_items += stats.candidate_intervals;
+                s.matches += stats.matches;
+                QueryOutput { results, stats }
             })
             .collect();
         let mut per_series: Vec<SeriesBatchStats> =
             per_target.into_iter().filter(|s| s.queries > 0).collect();
         per_series.sort_by_key(|s| s.series);
+        batch.series_touched = per_series.len() as u64;
         Ok(BatchOutput { outputs, stats: batch, per_series })
     }
 }

@@ -71,8 +71,7 @@ pub use build::{BuildStats, IndexBuildConfig, IndexRow, RowAccumulator};
 pub use cache::{RowCache, RowCacheStats};
 pub use catalog::{
     seal_with_builder, BackendMaintenanceStats, Catalog, CatalogBackend, CatalogSnapshot,
-    CatalogStats, GenerationInput, MemoryCatalogBackend, ReadView, SeriesGeneration,
-    ShardedCatalogBackend,
+    CatalogStats, GenerationInput, MemoryCatalogBackend, SeriesGeneration, ShardedCatalogBackend,
 };
 pub use dp::{DpMatcher, DpOptions, IndexSetConfig, MultiIndex, Segment};
 pub use exec::{

@@ -9,8 +9,12 @@
 //! candidate interval and verify each of its `|WI|` subsequences with the
 //! appropriate distance kernel, guarded by the same cascading lower bounds
 //! UCR Suite uses (so the head-to-head comparison is fair).
-
-use std::time::Instant;
+//!
+//! This module holds the per-query material both phases read
+//! ([`PreparedQuery`]), the per-interval verification routine, and
+//! [`KvMatcher`] — a one-query, one-target call of the shared probe and
+//! verify phases in [`exec`](crate::exec), which the DP matcher and the
+//! batched executor run too.
 
 use parking_lot::Mutex;
 
@@ -24,10 +28,11 @@ use kvmatch_storage::{KvStore, SeriesStore};
 use kvmatch_timeseries::PrefixStats;
 
 use crate::cache::RowCache;
+use crate::exec::{fixed_windows, probe_window, verify_inline, Plan};
 use crate::index::KvIndex;
 use crate::interval::{IntervalSet, WindowInterval};
 use crate::query::Measure;
-use crate::query::{select_top_k, Constraint, CoreError, MatchResult, MatchStats, QuerySpec};
+use crate::query::{Constraint, CoreError, MatchResult, MatchStats, QuerySpec};
 use crate::ranges::{
     cnsm_dtw_range, cnsm_ed_range, cnsm_lp_range, rsm_dtw_range, rsm_ed_range, rsm_lp_range,
     MeanRange,
@@ -163,6 +168,15 @@ impl PreparedQuery {
                 w,
             ),
         }
+    }
+
+    /// Fails with [`CoreError::QueryTooShort`] when the query cannot fill
+    /// one window of width `w`.
+    pub(crate) fn check_window(&self, w: usize) -> Result<(), CoreError> {
+        if self.m < w {
+            return Err(CoreError::QueryTooShort { query_len: self.m, window: w });
+        }
+        Ok(())
     }
 
     #[inline]
@@ -306,8 +320,8 @@ impl PreparedQuery {
 pub(crate) struct IntervalVerification {
     /// Qualified subsequences, in offset order. For top-k queries the
     /// `distance` field holds the **comparison-domain** value (squared /
-    /// p-th-power) until the final [`select_top_k`] +
-    /// [`finish_topk_distances`] pass — selection and thresholding must
+    /// p-th-power) until the final top-k selection and rooting in the
+    /// shared merge-and-finish step — selection and thresholding must
     /// share the kernels' exact domain, so rooting happens only at the
     /// very end.
     pub results: Vec<MatchResult>,
@@ -321,9 +335,10 @@ pub(crate) struct IntervalVerification {
 }
 
 /// Verifies every subsequence of one candidate interval `wi` against the
-/// series store. The single verification routine behind the sequential
-/// matchers and each [`QueryExecutor`] work item — batched and sequential
-/// execution produce bit-identical results because they both run this.
+/// series store. The single verification routine behind every phase-2
+/// work item, run only by the shared worker loop in
+/// [`exec`](crate::exec) — batched and sequential execution produce
+/// bit-identical results because they both run this.
 ///
 /// For top-k queries `best` carries the query's shared [`BestSoFar`]:
 /// each candidate is verified against the tracker's current threshold
@@ -332,8 +347,6 @@ pub(crate) struct IntervalVerification {
 /// worker threads), and every qualifying distance is offered back.
 /// Candidates the tracker rejects are provably outside the final top-k
 /// (the threshold only shrinks), so dropping them preserves exactness.
-///
-/// [`QueryExecutor`]: crate::exec::QueryExecutor
 pub(crate) fn verify_interval<D: SeriesStore>(
     data: &D,
     prep: &PreparedQuery,
@@ -390,44 +403,6 @@ pub(crate) fn verify_interval<D: SeriesStore>(
     })
 }
 
-/// Converts a top-k result set's comparison-domain values into reported
-/// distances — the final step after [`select_top_k`], shared by every
-/// execution path.
-pub(crate) fn finish_topk_distances(prep: &PreparedQuery, results: &mut [MatchResult]) {
-    for r in results {
-        r.distance = prep.distance_of(r.distance);
-    }
-}
-
-/// Verifies every candidate interval of `cs` against the series store.
-/// Shared by [`KvMatcher`] and the DP matcher. Top-k specs thread a
-/// [`BestSoFar`] across the intervals and reduce the survivors with
-/// [`select_top_k`] — the same selection the batched executor applies, so
-/// both paths stay bit-identical.
-pub(crate) fn verify_candidates<D: SeriesStore>(
-    data: &D,
-    prep: &PreparedQuery,
-    cs: &IntervalSet,
-    stats: &mut MatchStats,
-) -> Result<Vec<MatchResult>, CoreError> {
-    let best = prep.best_so_far();
-    let mut results = Vec::new();
-    let mut scratch = KernelScratch::with_query_capacity(prep.m, prep.spec.measure.rho());
-    for wi in cs.intervals() {
-        let iv = verify_interval(data, prep, *wi, &mut scratch, best.as_ref())?;
-        stats.points_fetched += iv.points_fetched;
-        stats.absorb_cascade(&iv.cascade);
-        stats.alloc_events += iv.alloc_events;
-        results.extend(iv.results);
-    }
-    if let Some(k) = prep.spec.limit {
-        select_top_k(&mut results, k);
-        finish_topk_distances(prep, &mut results);
-    }
-    stats.matches = results.len() as u64;
-    Ok(results)
-}
-
 /// The basic fixed-window KV-match matcher.
 pub struct KvMatcher<'a, S: KvStore, D: SeriesStore> {
     index: &'a KvIndex<S>,
@@ -457,13 +432,6 @@ impl<'a, S: KvStore, D: SeriesStore> KvMatcher<'a, S, D> {
         self
     }
 
-    fn probe(&self, lr: f64, ur: f64) -> Result<(IntervalSet, crate::index::ScanInfo), CoreError> {
-        match self.row_cache {
-            Some(cache) => self.index.probe_cached(lr, ur, cache),
-            None => self.index.probe(lr, ur),
-        }
-    }
-
     /// Phase-1 only: the per-window candidate sets `CS_i` (already
     /// left-shifted) and their running intersection `CS` — the quantities
     /// Table VII compares against FRM. Unlike [`KvMatcher::execute`], every
@@ -473,27 +441,18 @@ impl<'a, S: KvStore, D: SeriesStore> KvMatcher<'a, S, D> {
         spec: &QuerySpec,
     ) -> Result<(Vec<IntervalSet>, IntervalSet), CoreError> {
         let prep = PreparedQuery::new(spec.clone())?;
-        let w = self.index.window();
-        let m = prep.m;
-        if m < w {
-            return Err(CoreError::QueryTooShort { query_len: m, window: w });
-        }
-        let n = self.data.len();
+        prep.check_window(self.index.window())?;
+        let (m, n) = (prep.m, self.data.len());
         if m > n {
             return Ok((Vec::new(), IntervalSet::new()));
         }
-        let p = m / w;
-        let max_start = (n - m) as u64;
-        let mut sets = Vec::with_capacity(p);
-        for i in 0..p {
-            let range = prep.window_range(i * w, w);
-            let (is, _) = self.probe(range.lower, range.upper)?;
-            sets.push(is.shift_left((i * w) as u64).clamp_max(max_start));
-        }
-        let mut cs = sets[0].clone();
-        for s in &sets[1..] {
-            cs = cs.intersect(s);
-        }
+        let sets = fixed_windows(self.index, m)
+            .map(|(index, offset)| {
+                let (csi, _) = probe_window(&prep, index, offset, self.row_cache)?;
+                Ok(csi.clamp_max((n - m) as u64))
+            })
+            .collect::<Result<Vec<_>, CoreError>>()?;
+        let cs = sets[1..].iter().fold(sets[0].clone(), |cs, s| cs.intersect(s));
         Ok((sets, cs))
     }
 
@@ -501,44 +460,10 @@ impl<'a, S: KvStore, D: SeriesStore> KvMatcher<'a, S, D> {
     /// offset) and execution statistics.
     pub fn execute(&self, spec: &QuerySpec) -> Result<(Vec<MatchResult>, MatchStats), CoreError> {
         let prep = PreparedQuery::new(spec.clone())?;
-        let w = self.index.window();
-        let m = prep.m;
-        if m < w {
-            return Err(CoreError::QueryTooShort { query_len: m, window: w });
-        }
-        let n = self.data.len();
-        let mut stats = MatchStats::default();
-        if m > n {
-            return Ok((Vec::new(), stats));
-        }
-
-        // Phase 1: index probing (Lines 2–12).
-        let t1 = Instant::now();
-        let p = m / w;
-        let mut cs: Option<IntervalSet> = None;
-        for i in 0..p {
-            let range = prep.window_range(i * w, w);
-            let (is, info) = self.probe(range.lower, range.upper)?;
-            stats.absorb_probe(&info);
-            let csi = is.shift_left((i * w) as u64);
-            cs = Some(match cs {
-                None => csi,
-                Some(prev) => prev.intersect(&csi),
-            });
-            if cs.as_ref().expect("just set").is_empty() {
-                break;
-            }
-        }
-        let cs = cs.expect("p ≥ 1 because m ≥ w").clamp_max((n - m) as u64);
-        stats.candidates = cs.num_positions();
-        stats.candidate_intervals = cs.num_intervals() as u64;
-        stats.phase1_nanos = t1.elapsed().as_nanos() as u64;
-
-        // Phase 2: verification (Lines 13–18).
-        let t2 = Instant::now();
-        let results = verify_candidates(self.data, &prep, &cs, &mut stats)?;
-        stats.phase2_nanos = t2.elapsed().as_nanos() as u64;
-        Ok((results, stats))
+        prep.check_window(self.index.window())?;
+        let mut plan = Plan::new(prep, self.data, 0);
+        plan.probe(fixed_windows(self.index, plan.prep.m), self.row_cache)?;
+        verify_inline(plan)
     }
 }
 

@@ -360,10 +360,17 @@ pub enum CoreError {
     },
     /// A batch query referenced a series its executor does not serve.
     UnknownSeries(SeriesId),
-    /// A shared-borrow (read-path) executor was requested while some
-    /// series still has unmaterialized appends — the caller must run
-    /// `Catalog::materialize` under an exclusive borrow first.
+    /// No snapshot covers the catalog's state yet: a read arrived before
+    /// any successful `Catalog::materialize` published one.
     Unmaterialized,
+    /// An append carried a NaN or infinite point. The whole chunk was
+    /// refused before anything was persisted or indexed.
+    NonFinitePoint {
+        /// The series the append targeted.
+        series: SeriesId,
+        /// Series offset the offending point would have taken.
+        offset: u64,
+    },
     /// Storage failure.
     Storage(StorageError),
     /// Persisted index failed validation.
@@ -382,6 +389,9 @@ impl fmt::Display for CoreError {
             }
             CoreError::Unmaterialized => {
                 write!(f, "catalog has unmaterialized appends; materialize() first")
+            }
+            CoreError::NonFinitePoint { series, offset } => {
+                write!(f, "append to {series} refused: point at offset {offset} is not finite")
             }
             CoreError::Storage(e) => write!(f, "storage error: {e}"),
             CoreError::CorruptIndex(msg) => write!(f, "corrupt index: {msg}"),

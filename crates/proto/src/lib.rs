@@ -86,7 +86,8 @@ pub mod code {
     /// An append was acknowledged but the post-append snapshot rebuild
     /// failed; readers still serve the previous snapshot.
     pub const MATERIALIZE_FAILED: u16 = 4;
-    /// Parameter-domain violation (`CoreError::InvalidQuery`).
+    /// Parameter-domain violation (`CoreError::InvalidQuery`), including
+    /// an append carrying a non-finite point (`CoreError::NonFinitePoint`).
     pub const INVALID_QUERY: u16 = 10;
     /// `|Q| < w` (`CoreError::QueryTooShort`).
     pub const QUERY_TOO_SHORT: u16 = 11;
@@ -1108,7 +1109,7 @@ pub fn read_response<R: Read>(r: &mut R) -> Result<Option<Frame<Response>>, Prot
 /// Maps a `CoreError` to its stable wire code.
 pub fn core_error_code(err: &CoreError) -> u16 {
     match err {
-        CoreError::InvalidQuery(_) => code::INVALID_QUERY,
+        CoreError::InvalidQuery(_) | CoreError::NonFinitePoint { .. } => code::INVALID_QUERY,
         CoreError::QueryTooShort { .. } => code::QUERY_TOO_SHORT,
         CoreError::UnknownSeries(_) => code::UNKNOWN_SERIES,
         CoreError::Unmaterialized => code::UNMATERIALIZED,

@@ -112,7 +112,7 @@ pub mod wire;
 
 pub use metrics::{LatencyHistogram, Metrics, MetricsSnapshot, ShardSnapshot, WorkerSnapshot};
 pub use service::{
-    AppendHandle, ConfigError, QueryKind, QueryRequest, QueryResponse, QueryService, RejectKind,
-    Rejected, RejectedAppend, RejectedQuery, ResponseHandle, ServeError, ServiceBuilder, Submit,
+    AppendHandle, ConfigError, QueryRequest, QueryResponse, QueryService, RejectKind, Rejected,
+    RejectedAppend, RejectedQuery, ResponseHandle, ServeError, ServiceBuilder, Submit,
 };
 pub use shard::Router;

@@ -40,9 +40,8 @@
 //!
 //! Construction goes through the validating [`ServiceBuilder`]
 //! (`QueryService::builder(catalog).shards(4).build()?`); reads outside
-//! the request path go through [`QueryService::read_view`], which pins a
-//! shard's snapshot implementing
-//! [`ReadView`](kvmatch_core::catalog::ReadView).
+//! the request path go through [`QueryService::read_view`], which pins
+//! the [`CatalogSnapshot`] published by the shard owning a series.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -289,17 +288,6 @@ where
     }
 }
 
-/// What a request asks for — derived from
-/// [`QuerySpec::limit`](kvmatch_core::QuerySpec) but named explicitly at
-/// the serving surface.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum QueryKind {
-    /// Every subsequence within ε, offset order.
-    Range,
-    /// The k nearest subsequences within ε, nearest-first.
-    TopK(usize),
-}
-
 /// One client request: a routed query spec plus an optional per-request
 /// deadline (measured from submission; expired requests are answered
 /// with [`ServeError::DeadlineExceeded`] instead of their results).
@@ -323,14 +311,6 @@ impl QueryRequest {
     /// A top-k request: the `k` nearest subsequences within the spec's ε.
     pub fn top_k(spec: QuerySpec, k: usize) -> Self {
         Self { spec: spec.top_k(k), deadline: None }
-    }
-
-    /// The request's kind.
-    pub fn kind(&self) -> QueryKind {
-        match self.spec.limit {
-            Some(k) => QueryKind::TopK(k),
-            None => QueryKind::Range,
-        }
     }
 
     /// Attaches a deadline (builder style).
@@ -712,8 +692,7 @@ where
     }
 
     /// Pins the latest snapshot published by the shard hosting `series`
-    /// — the [`ReadView`](kvmatch_core::catalog::ReadView) read path for
-    /// callers outside the request pipeline (admin surfaces, tests,
+    /// — the read path for callers outside the request pipeline (admin surfaces, tests,
     /// sequential baselines). One `Arc` clone under a pointer-sized
     /// lock; never the shard's catalog lock. `None` before the shard's
     /// first materialization.

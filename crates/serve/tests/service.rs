@@ -7,7 +7,7 @@ use std::time::Duration;
 use kvmatch_core::{
     Catalog, IndexAppender, IndexBuildConfig, KvMatcher, MemoryCatalogBackend, QuerySpec, SeriesId,
 };
-use kvmatch_serve::{QueryKind, QueryRequest, QueryService, ServeError, Submit};
+use kvmatch_serve::{QueryRequest, QueryService, ServeError, Submit};
 use kvmatch_storage::memory::MemoryKvStoreBuilder;
 use kvmatch_storage::MemorySeriesStore;
 use kvmatch_timeseries::generator::composite_series;
@@ -66,7 +66,7 @@ fn responses_preserve_request_identity() {
         let i = ids.iter().position(|id| *id == req.spec.series).unwrap();
         let want = expected(&series[i], &req.spec);
         assert_eq!(resp.results, want, "response crossed wires for request {key}");
-        if let QueryKind::TopK(k) = req.kind() {
+        if let Some(k) = req.spec.limit {
             assert!(resp.results.len() <= k);
         }
     }
@@ -79,7 +79,7 @@ fn responses_preserve_request_identity() {
 }
 
 fn spec_key(req: &QueryRequest) -> String {
-    format!("{:?}/{:?}/{}", req.spec.series, req.kind(), req.spec.query.len())
+    format!("{:?}/{:?}/{}", req.spec.series, req.spec.limit, req.spec.query.len())
 }
 
 #[test]

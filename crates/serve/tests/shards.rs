@@ -20,7 +20,7 @@ use std::time::Duration;
 use kvmatch_core::catalog::{CatalogBackend, GenerationInput};
 use kvmatch_core::{
     Catalog, CoreError, IndexAppender, IndexBuildConfig, KvMatcher, MatchResult,
-    MemoryCatalogBackend, QuerySpec, ReadView, SeriesId,
+    MemoryCatalogBackend, QuerySpec, SeriesId,
 };
 use kvmatch_serve::{
     ConfigError, QueryRequest, QueryService, RejectKind, Rejected, Router, ServeError, Submit,
@@ -164,14 +164,14 @@ fn four_shard_scatter_gather_is_bit_identical() {
         );
     }
 
-    // The unified read path: every series resolves to its owning
-    // shard's published snapshot, and the `ReadView` trait answers
-    // through it without touching the service pipeline.
+    // The read path: every series resolves to its owning shard's
+    // published snapshot, which answers without touching the service
+    // pipeline.
     for (id, xs) in ids.iter().zip(&series) {
         let view = sharded.read_view(*id).expect("owning shard has published");
-        assert!(view.contains_series(*id));
+        assert!(view.contains(*id));
         let spec = QuerySpec::rsm_ed(xs[100..280].to_vec(), 1e-9).with_series(*id);
-        let out = view.execute(std::slice::from_ref(&spec)).expect("view executes");
+        let out = view.execute_batch(std::slice::from_ref(&spec)).expect("view executes");
         assert!(
             out.outputs[0].results.iter().any(|r| r.offset == 100),
             "read view lost the planted match"
@@ -181,7 +181,7 @@ fn four_shard_scatter_gather_is_bit_identical() {
         sharded.read_view(SeriesId::new(999)).is_none() || {
             // Series 999 routes to some shard; its snapshot exists but must
             // not claim to contain the unknown series.
-            !sharded.read_view(SeriesId::new(999)).unwrap().contains_series(SeriesId::new(999))
+            !sharded.read_view(SeriesId::new(999)).unwrap().contains(SeriesId::new(999))
         }
     );
 

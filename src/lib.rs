@@ -70,16 +70,16 @@ pub mod prelude {
         select_top_k, Catalog, CatalogBackend, Constraint, CoreError, DpMatcher, DpOptions,
         ExecutorConfig, IndexAppender, IndexBuildConfig, IndexSetConfig, KvIndex, KvMatcher,
         MatchResult, MatchStats, Measure, MemoryCatalogBackend, MultiIndex, QueryExecutor,
-        QuerySpec, ReadView, RowCache, SeriesId, ShardedCatalogBackend,
+        QuerySpec, RowCache, SeriesId, ShardedCatalogBackend,
     };
     pub use kvmatch_distance::LpExponent;
     pub use kvmatch_lsm::{LsmCatalogBackend, LsmKvStore, LsmKvStoreBuilder, LsmOptions};
     pub use kvmatch_obs::{ExplainReport, Registry, SpanRecord, TraceCtx};
     pub use kvmatch_proto::{Request, Response, WireError, WireMetrics};
     pub use kvmatch_serve::{
-        ConfigError, MetricsSnapshot, QueryKind, QueryRequest, QueryResponse, QueryService,
-        Rejected, RejectedQuery, ResponseHandle, Router, ServeError, ServiceBuilder, ShardSnapshot,
-        Submit, WorkerSnapshot,
+        ConfigError, MetricsSnapshot, QueryRequest, QueryResponse, QueryService, Rejected,
+        RejectedQuery, ResponseHandle, Router, ServeError, ServiceBuilder, ShardSnapshot, Submit,
+        WorkerSnapshot,
     };
     pub use kvmatch_storage::memory::MemoryKvStoreBuilder;
     pub use kvmatch_storage::{
